@@ -64,24 +64,26 @@ chaos-short:
 crash-soak:
 	$(GO) test -race -count=1 -run CrashSoak -v ./internal/chaos/
 
-# Replication chaos soak under the race detector: a 3-node cluster
-# (leader + two WAL-streaming followers) on virtual time survives random
-# kill -9s, timed partitions, checkpoint/truncation races, and one
-# planned failover, and every node's state digest must match a
-# never-crashed single-node baseline byte for byte.
+# Replicated chaos soaks under the race detector. One virtual-time
+# driver (chaos.RunTopologySoak) runs both targets below on different
+# topologies: nodes survive random kill -9s, timed partitions,
+# checkpoint/truncation races, and one planned failover per shard, and
+# every node's state digest must match a never-crashed single-node
+# baseline byte for byte, with every follower's log at its leader's head.
+#
+# replica-soak: 1 shard x 3 nodes (leader + two WAL-streaming
+# followers), with staleness probes on every node.
 replica-soak:
 	$(GO) test -race -count=1 -run ReplicaSoak -v ./internal/chaos/
 
 replica-soak-short:
 	$(GO) test -race -short -count=1 -run ReplicaSoak ./internal/chaos/
 
-# Scale-out cluster soak under the race detector: two shards of two
-# nodes each behind a rendezvous-routing router on virtual time survive
-# kills, partitions, checkpoint races, one planned failover per shard
-# (one of them discovered by the router, not announced), and a follower
-# orphaned past compaction that rejoins via snapshot-ship resync; every
-# node's state digest must match a never-crashed single-node baseline
-# that applied only its shard's category workload.
+# cluster-soak: the same driver on 2 shards x 2 nodes, which adds a
+# rendezvous-routing router, one failover the router must discover on
+# its own, and a follower orphaned past compaction that rejoins via
+# snapshot-ship resync; each shard's digest must match the baseline of
+# its own category workload.
 cluster-soak:
 	$(GO) test -race -count=1 -run ClusterSoak -v ./internal/chaos/
 

@@ -86,15 +86,6 @@ type Application = store.Application
 // User is one registered participant.
 type User = store.User
 
-// Push is the simulated GCM-like wake-up fabric: a thin shim over a
-// private SessionRegistry whose queued pushes collapse onto capacity-1
-// wake channels.
-//
-// Deprecated: connect devices through the stream transport (DialStream)
-// and hand the server a SessionRegistry via WithTransport; pushes then
-// carry real payloads instead of bare wake-ups.
-type Push = session.LocalPush
-
 // DataProcessor is the server's §IV-A feature pipeline.
 type DataProcessor = server.DataProcessor
 
@@ -162,11 +153,6 @@ func WithWALSegmentBytes(n int64) DurableOption { return store.WithSegmentBytes(
 // WithStorageMetrics publishes WAL and checkpoint series into reg.
 func WithStorageMetrics(reg *Registry) DurableOption { return store.WithMetrics(reg) }
 
-// NewPush returns an empty push fabric.
-//
-// Deprecated: see Push.
-func NewPush() *Push { return session.NewLocalPush() }
-
 // DefaultCatalog is the paper's feature catalog: coffee shops and hiking
 // trails with their §IV default preferences.
 func DefaultCatalog() map[string][]Feature { return server.DefaultCatalog() }
@@ -205,14 +191,6 @@ func WithKernel(k Kernel) ServerOption {
 // WithStep sets the timeline discretization (default 10 s).
 func WithStep(step time.Duration) ServerOption {
 	return func(cfg *server.Config) { cfg.Step = step }
-}
-
-// WithPush attaches the wake-up fabric.
-//
-// Deprecated: use WithTransport with a SessionRegistry — schedules and
-// invalidations then ride live device streams instead of bare wake-ups.
-func WithPush(p *Push) ServerOption {
-	return func(cfg *server.Config) { cfg.Push = p }
 }
 
 // WithTransport attaches the server's outbound push path — typically the
@@ -312,16 +290,6 @@ func WithClientRetry(r Retry) ClientOption { return transport.WithRetry(r) }
 //
 // Deprecated: use WithClientRetry.
 func WithClientRetries(n int) ClientOption { return transport.WithRetries(n) }
-
-// WithClientBackoff sets the base retry backoff.
-//
-// Deprecated: use WithClientRetry.
-func WithClientBackoff(d time.Duration) ClientOption { return transport.WithBackoff(d) }
-
-// WithClientBackoffCap bounds the exponential backoff.
-//
-// Deprecated: use WithClientRetry.
-func WithClientBackoffCap(d time.Duration) ClientOption { return transport.WithBackoffCap(d) }
 
 // WithClientSeed makes retry jitter deterministic.
 //
@@ -435,13 +403,6 @@ func WithStreamRetry(r Retry) StreamClientOption { return session.WithClientRetr
 // Deprecated: use WithStreamRetry.
 func WithStreamRetries(n int) StreamClientOption { return session.WithClientRetries(n) }
 
-// WithStreamBackoff bounds the stream client's reconnect/retry backoff.
-//
-// Deprecated: use WithStreamRetry.
-func WithStreamBackoff(base, cap time.Duration) StreamClientOption {
-	return session.WithClientBackoff(base, cap)
-}
-
 // WithStreamSeed makes stream retry jitter deterministic.
 //
 // Deprecated: use WithStreamRetry.
@@ -491,18 +452,6 @@ func WithOutboxCapacity(n int) FrontendOption { return frontend.WithOutboxCapaci
 // flush backoff. Attempts is ignored: the outbox never gives up — its
 // bounded queue is the retry budget.
 func WithOutboxRetry(r Retry) FrontendOption { return frontend.WithOutboxRetry(r) }
-
-// WithOutboxBackoff sets outbox flush backoff base and cap.
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxBackoff(base, max time.Duration) FrontendOption {
-	return frontend.WithOutboxBackoff(base, max)
-}
-
-// WithOutboxSeed makes outbox jitter deterministic.
-//
-// Deprecated: use WithOutboxRetry.
-func WithOutboxSeed(seed int64) FrontendOption { return frontend.WithOutboxSeed(seed) }
 
 // WithFrontendObserver instruments the frontend's outbox (fleet-aggregate
 // depth gauge, delivery counters).

@@ -169,58 +169,3 @@ func TestSessionQueueBackpressure(t *testing.T) {
 		t.Fatalf("post-eviction wake: pending = %d, want 1", got)
 	}
 }
-
-// TestLocalPushCompatibility pins the deprecated shim against the old
-// transport.Push contract: duplicate subscribe errors, coalesced wake
-// channel, unsubscribe-then-resubscribe reuse, and the Sent counter.
-func TestLocalPushCompatibility(t *testing.T) {
-	p := NewLocalPush()
-	if _, err := p.Subscribe(""); err == nil {
-		t.Fatal("empty token subscribed")
-	}
-	ch, err := p.Subscribe("tok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Subscribe("tok"); err == nil {
-		t.Fatal("duplicate subscribe allowed")
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("wake-up not delivered")
-	}
-	select {
-	case <-ch:
-		t.Fatal("wake-ups did not coalesce")
-	default:
-	}
-	if got := p.Sent(); got != 2 {
-		t.Fatalf("Sent() = %d, want 2", got)
-	}
-	if err := p.Notify("ghost"); err == nil {
-		t.Fatal("unknown token notified")
-	}
-	p.Unsubscribe("tok")
-	if err := p.Notify("tok"); err == nil {
-		t.Fatal("unsubscribed token notified")
-	}
-	ch2, err := p.Subscribe("tok")
-	if err != nil {
-		t.Fatalf("resubscribe: %v", err)
-	}
-	if err := p.Notify("tok"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-ch2:
-	default:
-		t.Fatal("wake-up not delivered to fresh subscription")
-	}
-}
