@@ -25,13 +25,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of every benchmark (catches bit-rot, including the
-# 200/2k/10k columnar scaling table) plus the rank hot-path allocation
-# gate — a cached-hit rank query must stay O(1) allocations. -short
-# skips only the ~4-minute 2 000-place monolithic-baseline solve; the
-# 200-place baseline point still runs.
+# 200/2k/10k columnar scaling table) plus the deterministic cost gates:
+# a cached-hit rank query must stay O(1) allocations, and a replan at
+# 55 members x 1081 instants must make exactly the pinned number of
+# oracle calls within its allocation ceilings. -short skips only the
+# ~4-minute 2 000-place monolithic-baseline solve; the 200-place
+# baseline point still runs.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -short ./...
 	$(GO) test -count=1 -run 'TestRankCachedHitAllocs|TestRankTopKBoundsResponse' -v ./internal/server/
+	$(GO) test -count=1 -run 'TestReplanCostGate' -v ./internal/schedule/
 
 # 10-second fuzz smokes over the three decoders that face untrusted
 # bytes: the wire decoder (open network), the session frame decoder

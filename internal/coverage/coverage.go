@@ -200,12 +200,22 @@ func (tl *Timeline) OffsetSeconds(i, j int) float64 {
 // ∏(1 − p(ti,tj)) over all measurements added so far, so that coverage,
 // total coverage, and marginal gains are all incremental. It is the data
 // structure behind Algorithm 1's argmax step.
+//
+// The timeline is uniform, so p(ti, tj) depends only on j − i: the
+// accumulator tabulates kernel.Prob(tl.OffsetSeconds(0, d)) once per
+// offset d at construction, and Gain and Add read the table. Every entry
+// is bit-identical to the call it replaces, because OffsetSeconds(i, j)
+// and OffsetSeconds(0, j−i) compute the same float64.
 type Accumulator struct {
-	tl     *Timeline
-	kernel Kernel
-	miss   []float64 // miss[j] = ∏ (1 − p(ti, tj)); coverage = 1 − miss[j]
-	total  float64   // Σ_j (1 − miss[j])
-	radius int       // kernel support in instants (0 = full range)
+	tl    *Timeline
+	miss  []float64 // miss[j] = ∏ (1 − p(ti, tj)); coverage = 1 − miss[j]
+	total float64   // Σ_j (1 − miss[j])
+	// span is how many instants a measurement reaches on either side:
+	// the kernel's support in instants, capped at N−1 (N−1 for unbounded
+	// support). prob[d+span] = kernel.Prob(tl.OffsetSeconds(0, d)) for
+	// |d| ≤ span; it is immutable, so clones share it.
+	span int
+	prob []float64
 }
 
 // NewAccumulator returns an empty accumulator over the timeline.
@@ -220,37 +230,32 @@ func NewAccumulator(tl *Timeline, kernel Kernel) (*Accumulator, error) {
 	for i := range miss {
 		miss[i] = 1
 	}
-	radius := 0
+	span := tl.N() - 1
 	if s := kernel.Support(); s > 0 {
-		radius = int(math.Ceil(s / tl.stepSec))
+		if radius := math.Ceil(s / tl.stepSec); radius > 0 && radius < float64(span) {
+			span = int(radius)
+		}
 	}
-	return &Accumulator{tl: tl, kernel: kernel, miss: miss, radius: radius}, nil
+	prob := make([]float64, 2*span+1)
+	for d := -span; d <= span; d++ {
+		prob[d+span] = kernel.Prob(tl.OffsetSeconds(0, d))
+	}
+	return &Accumulator{tl: tl, miss: miss, span: span, prob: prob}, nil
 }
 
 // window returns the inclusive index range affected by a measurement at i.
 func (a *Accumulator) window(i int) (lo, hi int) {
-	if a.radius <= 0 {
-		return 0, a.tl.N() - 1
-	}
-	lo = i - a.radius
-	if lo < 0 {
-		lo = 0
-	}
-	hi = i + a.radius
-	if hi >= a.tl.N() {
-		hi = a.tl.N() - 1
-	}
-	return lo, hi
+	return max(i-a.span, 0), min(i+a.span, a.tl.N()-1)
 }
 
 // Gain returns the increase of total coverage that a new measurement at
 // instant i would produce, without mutating state.
 func (a *Accumulator) Gain(i int) float64 {
 	lo, hi := a.window(i)
+	prob := a.prob[lo-i+a.span : hi-i+a.span+1]
 	var gain float64
-	for j := lo; j <= hi; j++ {
-		p := a.kernel.Prob(a.tl.OffsetSeconds(i, j))
-		gain += a.miss[j] * p
+	for j, m := range a.miss[lo : hi+1] {
+		gain += m * prob[j]
 	}
 	return gain
 }
@@ -258,12 +263,13 @@ func (a *Accumulator) Gain(i int) float64 {
 // Add records a measurement at instant i and returns the realized gain.
 func (a *Accumulator) Add(i int) float64 {
 	lo, hi := a.window(i)
+	prob := a.prob[lo-i+a.span : hi-i+a.span+1]
+	miss := a.miss[lo : hi+1]
 	var gain float64
-	for j := lo; j <= hi; j++ {
-		p := a.kernel.Prob(a.tl.OffsetSeconds(i, j))
-		delta := a.miss[j] * p
+	for j, p := range prob {
+		delta := miss[j] * p
 		gain += delta
-		a.miss[j] -= delta
+		miss[j] -= delta
 	}
 	a.total += gain
 	return gain
@@ -292,7 +298,7 @@ func (a *Accumulator) Reset() {
 func (a *Accumulator) Clone() *Accumulator {
 	miss := make([]float64, len(a.miss))
 	copy(miss, a.miss)
-	return &Accumulator{tl: a.tl, kernel: a.kernel, miss: miss, total: a.total, radius: a.radius}
+	return &Accumulator{tl: a.tl, miss: miss, total: a.total, span: a.span, prob: a.prob}
 }
 
 // Eval computes Σ_j p(tj, Φ) from scratch for a set of measurement instants

@@ -293,6 +293,78 @@ func TestAccumulatorWindowBoundsEffort(t *testing.T) {
 	}
 }
 
+// cauchyKernel has unbounded support (Support ≤ 0).
+type cauchyKernel struct{ scale float64 }
+
+func (k cauchyKernel) Prob(d float64) float64 { return 1 / (1 + (d/k.scale)*(d/k.scale)) }
+func (k cauchyKernel) Support() float64       { return 0 }
+func (k cauchyKernel) String() string         { return "cauchy" }
+
+// TestAccumulatorTableMatchesProb holds the tabulated kernel to the calls
+// it replaced: every entry read for a measurement at i and a target j is
+// bit-identical to kernel.Prob(tl.OffsetSeconds(i, j)), and Gain, Add and
+// Total match an accumulator calling Prob directly, bit for bit.
+func TestAccumulatorTableMatchesProb(t *testing.T) {
+	kernels := []Kernel{
+		GaussianKernel{Sigma: 10}, GaussianKernel{Sigma: 3.7}, TriangularKernel{Width: 30},
+		ExponentialKernel{Tau: 7}, cauchyKernel{scale: 12},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, step := range []time.Duration{300 * time.Millisecond, time.Second, 1500 * time.Millisecond, 7 * time.Second, 10 * time.Second} {
+		for _, n := range []int{1, 2, 50, 300} {
+			tl := mustTimeline(t, step, n)
+			for _, k := range kernels {
+				acc, err := NewAccumulator(tl, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < n; i++ {
+					lo, hi := acc.window(i)
+					for j := lo; j <= hi; j++ {
+						got, want := acc.prob[j-i+acc.span], k.Prob(tl.OffsetSeconds(i, j))
+						if math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s step %v n %d: p(%d,%d) table %v, Prob %v", k, step, n, i, j, got, want)
+						}
+					}
+				}
+				// Reference: the accumulator's loops with direct Prob calls.
+				miss := make([]float64, n)
+				for j := range miss {
+					miss[j] = 1
+				}
+				var total float64
+				for round := 0; round < 12; round++ {
+					for i := 0; i < n; i++ {
+						lo, hi := acc.window(i)
+						var want float64
+						for j := lo; j <= hi; j++ {
+							want += miss[j] * k.Prob(tl.OffsetSeconds(i, j))
+						}
+						if got := acc.Gain(i); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s step %v n %d round %d: Gain(%d) = %v, reference %v", k, step, n, round, i, got, want)
+						}
+					}
+					i := rng.Intn(n)
+					lo, hi := acc.window(i)
+					var want float64
+					for j := lo; j <= hi; j++ {
+						delta := miss[j] * k.Prob(tl.OffsetSeconds(i, j))
+						want += delta
+						miss[j] -= delta
+					}
+					total += want
+					if got := acc.Add(i); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: Add(%d) = %v, reference %v", k, i, got, want)
+					}
+					if math.Float64bits(acc.Total()) != math.Float64bits(total) {
+						t.Fatalf("%s: Total %v, reference %v", k, acc.Total(), total)
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: Accumulator total equals reference Eval for random schedules.
 func TestAccumulatorEvalProperty(t *testing.T) {
 	tl := mustTimeline(t, 10*time.Second, 64)

@@ -217,7 +217,8 @@ func (o *Online) replanLocked(now time.Time) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.plan = plan
 	o.replans++
+	plan.Seq = o.replans
+	o.plan = plan
 	return plan, nil
 }

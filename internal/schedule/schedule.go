@@ -14,6 +14,7 @@ package schedule
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -76,8 +77,15 @@ type Plan struct {
 	TotalCoverage float64
 	// AverageCoverage is TotalCoverage / N — §V-C's metric.
 	AverageCoverage float64
-	// OracleCalls counts marginal-gain evaluations (ablation metric).
+	// OracleCalls counts marginal-gain evaluations (ablation metric): one
+	// per (user, instant) element scanned by the eager greedy, one per
+	// instant evaluated by the instant-level lazy greedy.
 	OracleCalls int
+	// Seq numbers the plans of one Online in the order their replans ran
+	// (1, 2, ...); it is 0 for a plan from a bare Scheduler. Consumers
+	// that distribute plans of concurrent events use it to drop a plan a
+	// newer one has overtaken.
+	Seq int
 }
 
 // Measurements flattens the plan into (user, instant) pairs sorted by
@@ -114,8 +122,9 @@ type Scheduler struct {
 // Option configures a Scheduler.
 type Option func(*Scheduler)
 
-// WithLazyGreedy switches the scheduler to the lazy-greedy variant
-// (identical output, fewer oracle calls).
+// WithLazyGreedy switches the scheduler to the instant-level lazy greedy
+// (lazy.go): the same choices as Algorithm 1's eager greedy, with far
+// fewer oracle calls and a heap of one entry per instant.
 func WithLazyGreedy() Option {
 	return func(s *Scheduler) { s.lazy = true }
 }
@@ -144,25 +153,53 @@ type element struct {
 	instant int // timeline index
 }
 
+// userWindow is one participant's feasible instants [lo, hi] (the paper's
+// Tk) and budget; budget 0 marks a user who can take no measurement
+// (zero budget, or a window that misses the timeline).
+type userWindow struct {
+	lo, hi, budget int
+}
+
+// windows validates the participants and resolves each one's window.
+func (s *Scheduler) windows(parts []Participant) ([]userWindow, error) {
+	wins := make([]userWindow, len(parts))
+	for k, p := range parts {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+		if lo, hi, ok := s.tl.IndexRange(p.Arrive, p.Leave); ok && p.Budget > 0 {
+			wins[k] = userWindow{lo: lo, hi: hi, budget: p.Budget}
+		}
+	}
+	return wins, nil
+}
+
 // buildGround enumerates the ground set of feasible (user, instant) pairs
 // and the partition structure (one part per user).
 func (s *Scheduler) buildGround(parts []Participant) (elems []element, partOf []int, caps []int, err error) {
-	caps = make([]int, len(parts))
-	for k, p := range parts {
-		if err := p.Validate(); err != nil {
-			return nil, nil, nil, err
-		}
-		caps[k] = p.Budget
-		lo, hi, ok := s.tl.IndexRange(p.Arrive, p.Leave)
-		if !ok || p.Budget == 0 {
+	wins, err := s.windows(parts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	elems, partOf, caps = ground(wins)
+	return elems, partOf, caps, nil
+}
+
+// ground enumerates the (user, instant) pairs of the users' windows,
+// user-major, with each pair's part and each part's capacity.
+func ground(wins []userWindow) (elems []element, partOf []int, caps []int) {
+	caps = make([]int, len(wins))
+	for k, w := range wins {
+		caps[k] = w.budget
+		if w.budget == 0 {
 			continue
 		}
-		for i := lo; i <= hi; i++ {
+		for i := w.lo; i <= w.hi; i++ {
 			elems = append(elems, element{user: k, instant: i})
 			partOf = append(partOf, k)
 		}
 	}
-	return elems, partOf, caps, nil
+	return elems, partOf, caps
 }
 
 // coverageObjective adapts the accumulator to the submodular engine. Two
@@ -178,12 +215,13 @@ var _ submodular.Objective = (*coverageObjective)(nil)
 func (c *coverageObjective) Gain(e int) float64 { return c.acc.Gain(c.elems[e].instant) }
 func (c *coverageObjective) Add(e int)          { c.acc.Add(c.elems[e].instant) }
 
-// Greedy computes a schedule with the paper's Algorithm 1. Seed
-// measurements already committed (e.g. taken earlier in the period by
-// departed users) can be supplied via prior; they contribute coverage but
-// consume no budget.
+// Greedy computes a schedule with the paper's Algorithm 1 — or, under
+// WithLazyGreedy, with the instant-level lazy greedy (lazy.go), which
+// makes the same choices. Seed measurements already committed (e.g. taken
+// earlier in the period by departed users) can be supplied via prior;
+// they contribute coverage but consume no budget.
 func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
-	elems, partOf, caps, err := s.buildGround(parts)
+	wins, err := s.windows(parts)
 	if err != nil {
 		return nil, err
 	}
@@ -201,32 +239,44 @@ func (s *Scheduler) Greedy(parts []Participant, prior []int) (*Plan, error) {
 	for _, p := range parts {
 		plan.Assignments[p.UserID] = Assignment{UserID: p.UserID}
 	}
-	if len(elems) > 0 {
+	var picks []element
+	if s.lazy {
+		picks, plan.OracleCalls = instantGreedy(acc, wins, s.tl.N())
+	} else if elems, partOf, caps := ground(wins); len(elems) > 0 {
 		m, err := matroid.NewPartition(partOf, caps)
 		if err != nil {
 			return nil, err
 		}
-		obj := &coverageObjective{acc: acc, elems: elems}
-		var res *submodular.Result
-		if s.lazy {
-			res, err = submodular.LazyGreedy(obj, m, 1e-12)
-		} else {
-			res, err = submodular.Greedy(obj, m, 1e-12)
-		}
+		res, err := submodular.Greedy(&coverageObjective{acc: acc, elems: elems}, m, minGreedyGain)
 		if err != nil {
 			return nil, err
 		}
 		plan.OracleCalls = res.OracleCalls
-		for _, e := range res.Chosen {
-			el := elems[e]
-			a := plan.Assignments[parts[el.user].UserID]
-			a.Instants = append(a.Instants, el.instant)
-			plan.Assignments[parts[el.user].UserID] = a
+		picks = make([]element, len(res.Chosen))
+		for n, e := range res.Chosen {
+			picks[n] = elems[e]
 		}
-		for id, a := range plan.Assignments {
-			sort.Ints(a.Instants)
-			plan.Assignments[id] = a
+	}
+	// Size each assignment before filling it: one allocation per user.
+	counts := make([]int, len(parts))
+	for _, el := range picks {
+		counts[el.user]++
+	}
+	for k, c := range counts {
+		if c > 0 {
+			a := plan.Assignments[parts[k].UserID]
+			a.Instants = slices.Grow(a.Instants, c)
+			plan.Assignments[parts[k].UserID] = a
 		}
+	}
+	for _, el := range picks {
+		a := plan.Assignments[parts[el.user].UserID]
+		a.Instants = append(a.Instants, el.instant)
+		plan.Assignments[parts[el.user].UserID] = a
+	}
+	for id, a := range plan.Assignments {
+		sort.Ints(a.Instants)
+		plan.Assignments[id] = a
 	}
 	plan.TotalCoverage = acc.Total()
 	plan.AverageCoverage = acc.Average()
@@ -277,9 +327,10 @@ func (s *Scheduler) Baseline(parts []Participant, interval time.Duration) (*Plan
 	return plan, nil
 }
 
-// Verify recomputes a plan's coverage from scratch and checks every
-// budget/window constraint; used by tests and by the server as a
-// postcondition before distributing schedules.
+// Verify checks a plan against every budget and window constraint: no
+// user over budget, outside their window, or scheduled twice at one
+// instant. Tests use it as a postcondition on scheduler output; the
+// server does not call it.
 func (s *Scheduler) Verify(parts []Participant, plan *Plan) error {
 	if plan == nil {
 		return errors.New("schedule: nil plan")

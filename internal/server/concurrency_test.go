@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +20,7 @@ import (
 	"sor/internal/schedule"
 	"sor/internal/sim"
 	"sor/internal/store"
+	"sor/internal/wal"
 	"sor/internal/wire"
 	"sor/internal/world"
 )
@@ -552,5 +554,131 @@ func TestSchedulerChurnUnderVirtualClock(t *testing.T) {
 	}
 	if got := s.DB().PendingUploads(); got != 3*len(parts) {
 		t.Fatalf("%d uploads pending, want %d", got, 3*len(parts))
+	}
+}
+
+// TestConcurrentJoinsStoreNewestPlan is the stale-plan regression:
+// Online.Join serialises the greedy, but distribution runs after the
+// scheduler's lock is released, so concurrent participates on one
+// durable app could store their plans' rows in any order and leave rows
+// of an older plan behind. After every join returns, each active user's
+// stored row must equal the newest plan's assignment.
+func TestConcurrentJoinsStoreNewestPlan(t *testing.T) {
+	trials := 20
+	if testing.Short() {
+		trials = 5
+	}
+	for trial := 0; trial < trials; trial++ {
+		s, err := New(Config{
+			Storage: store.NewDurableBackend(t.TempDir(), store.WithWALSync(wal.SyncGrouped)),
+			Now:     (&virtualClock{now: t0}).Now,
+			Catalog: DefaultCatalog(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CreateApp(starbucksApp()); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for u := 0; u < 12; u++ {
+			wg.Add(1)
+			go func(u int) {
+				defer wg.Done()
+				user := fmt.Sprintf("joiner-%02d", u)
+				resp, err := s.Handler()(nil, &wire.Participate{
+					UserID: user, Token: "tok-" + user, AppID: "app-sb",
+					Loc:    wire.Location{Lat: 43.0413, Lon: -76.1350},
+					Budget: 3 + u%5,
+				})
+				if err != nil {
+					t.Errorf("join %s: %v", user, err)
+				} else if ack := resp.(*wire.Ack); !ack.OK {
+					t.Errorf("join %s refused: %s", user, ack.Message)
+				}
+			}(u)
+		}
+		wg.Wait()
+		plan, err := s.PlanSnapshot("app-sb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := s.states.get("app-sb").timeline
+		for user, a := range plan.Assignments {
+			p, err := s.DB().ActiveParticipationByUser("app-sb", user)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, err := s.DB().Schedule(p.TaskID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []int64
+			for _, at := range a.Times(tl) {
+				want = append(want, at.Unix())
+			}
+			if !slices.Equal(row.AtUnix, want) {
+				t.Fatalf("trial %d: %s stored %v, newest plan (seq %d) assigns %v",
+					trial, user, row.AtUnix, plan.Seq, want)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestStalePlanDroppedOutOfOrder pins the ordering rule the concurrent
+// test above exercises by chance: when two plans of one app reach
+// distribution newest first, the older one must not overwrite the rows
+// the newer one stored.
+func TestStalePlanDroppedOutOfOrder(t *testing.T) {
+	s, clock := newTestServer(t)
+	if err := s.CreateApp(starbucksApp()); err != nil {
+		t.Fatal(err)
+	}
+	participate(t, s, "alice", "tok-a", 4)
+	participate(t, s, "bob", "tok-b", 4)
+	st := s.states.get("app-sb")
+	st.mu.Lock()
+	st.taskOf["carol"], st.tokenOf["carol"] = "task-carol", "tok-c"
+	st.mu.Unlock()
+	older, err := st.online.Join(clock.Now(), schedule.Participant{
+		UserID: "carol", Arrive: clock.Now(), Leave: st.timeline.End(), Budget: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newer, err := st.online.Leave(clock.Now(), "carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*schedule.Plan{newer, older} {
+		if err := s.distributePlan(starbucksApp(), st, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, user := range []string{"alice", "bob"} {
+		p, err := s.DB().ActiveParticipationByUser("app-sb", user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row, err := s.DB().Schedule(p.TaskID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		for _, at := range newer.Assignments[user].Times(st.timeline) {
+			want = append(want, at.Unix())
+		}
+		if !slices.Equal(row.AtUnix, want) {
+			t.Fatalf("%s stored %v, newest plan assigns %v", user, row.AtUnix, want)
+		}
+	}
+	if _, err := s.DB().Schedule("task-carol"); err == nil {
+		t.Fatal("the dropped plan stored a row for carol")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -128,6 +129,7 @@ type serverMetrics struct {
 	ingestRejected   *obs.Counter // reports refused (unknown task / identity mismatch)
 
 	replans               *obs.Counter
+	replanMs              *obs.Histogram // Online.Join/Leave: the greedy plus its wait for the app's scheduler lock
 	snapshotRebuilds      *obs.Counter
 	snapshotDeltaRebuilds *obs.Counter // rebuilds served by an incremental column merge
 	snapshotRearms        *obs.Counter // stale signals that re-armed the epoch without a rebuild
@@ -159,6 +161,7 @@ func newServerMetrics(reg *obs.Registry) serverMetrics {
 		ingestDuplicates:      reg.Counter("sor_ingest_duplicate_total"),
 		ingestRejected:        reg.Counter("sor_ingest_rejected_total"),
 		replans:               reg.Counter("sor_sched_replans_total"),
+		replanMs:              reg.LatencyHistogram("sor_sched_replan_ms"),
 		snapshotRebuilds:      reg.Counter("sor_snapshot_rebuilds_total"),
 		snapshotDeltaRebuilds: reg.Counter("sor_snapshot_delta_rebuilds_total"),
 		snapshotRearms:        reg.Counter("sor_snapshot_rearms_total"),
@@ -184,6 +187,11 @@ type appSchedState struct {
 	mu      sync.Mutex
 	taskOf  map[string]string // userID -> taskID
 	tokenOf map[string]string // userID -> device token
+
+	// distMu serialises the app's plan distribution; distSeq is the Seq
+	// of the newest plan stored (see storePlan).
+	distMu  sync.Mutex
+	distSeq int
 }
 
 // New builds a server. With cfg.DB the server is usable immediately;
@@ -441,12 +449,14 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 	st.tokenOf[msg.UserID] = msg.Token
 	st.mu.Unlock()
 
+	t0 := time.Now()
 	plan, err := st.online.Join(now, schedule.Participant{
 		UserID: msg.UserID,
 		Arrive: now,
 		Leave:  leave,
 		Budget: msg.Budget,
 	})
+	s.met.replanMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 	if err != nil {
 		return refuse(500, "scheduling failed: %v", err), nil
 	}
@@ -471,49 +481,76 @@ func (s *Server) handleParticipate(ctx context.Context, msg *wire.Participate) (
 }
 
 // distributePlan stores every user's fresh schedule and pushes wake-ups so
-// phones re-fetch (the GCM path).
+// phones re-fetch (the GCM path). Pushes go out after storePlan returns,
+// so no push runs under the app's distribution lock; each carries the row
+// stored at push time.
 func (s *Server) distributePlan(app store.Application, st *appSchedState, plan *schedule.Plan) error {
-	st.mu.Lock()
-	taskOf := make(map[string]string, len(st.taskOf))
-	for u, t := range st.taskOf {
-		taskOf[u] = t
+	notify, err := s.storePlan(app, st, plan)
+	if err != nil || s.push == nil {
+		return err
 	}
-	tokenOf := make(map[string]string, len(st.tokenOf))
-	for u, t := range st.tokenOf {
-		tokenOf[u] = t
-	}
-	st.mu.Unlock()
-	for userID, a := range plan.Assignments {
-		taskID, ok := taskOf[userID]
-		if !ok {
-			continue
-		}
-		row := store.ScheduleRow{TaskID: taskID, AppID: app.ID, UserID: userID}
-		for _, t := range a.Times(st.timeline) {
-			row.AtUnix = append(row.AtUnix, t.Unix())
-		}
-		if err := s.db.PutSchedule(row); err != nil {
-			return err
-		}
-		if s.push != nil {
-			// Best effort: unreachable phones will poll eventually. A
-			// stream-connected phone gets the fresh schedule itself pushed
-			// down its session, saving the wake-then-ping round trip; a
-			// wake-only fabric (or a push failure) falls back to the
-			// classic "ping home" nudge.
-			token := tokenOf[userID]
-			pushed := false
-			if mp, ok := s.push.(transport.MessagePusher); ok {
-				if sched, err := s.scheduleFor(app, st, userID); err == nil {
-					pushed = mp.PushMessage(token, sched) == nil
-				}
+	for _, n := range notify {
+		// Best effort: unreachable phones will poll eventually. A
+		// stream-connected phone gets the fresh schedule itself pushed
+		// down its session, saving the wake-then-ping round trip; a
+		// wake-only fabric (or a push failure) falls back to the classic
+		// "ping home" nudge.
+		pushed := false
+		if mp, ok := s.push.(transport.MessagePusher); ok {
+			if sched, err := s.scheduleFor(app, st, n.userID); err == nil {
+				pushed = mp.PushMessage(n.token, sched) == nil
 			}
-			if !pushed {
-				_ = s.push.Notify(token)
-			}
+		}
+		if !pushed {
+			_ = s.push.Notify(n.token)
 		}
 	}
 	return nil
+}
+
+// pushTarget is one phone a distributed plan must reach.
+type pushTarget struct{ userID, taskID, token string }
+
+// storePlan writes the plan's schedule rows and returns the phones to
+// push. Online orders an app's replans but hands their plans back after
+// its lock is released, so the plans of concurrent joins and leaves
+// arrive here in any order. Under the app's distribution lock, a plan
+// older than the last one stored is dropped — the newer plan already
+// covers every user still present — and a row equal to the stored one
+// is not logged again.
+func (s *Server) storePlan(app store.Application, st *appSchedState, plan *schedule.Plan) ([]pushTarget, error) {
+	st.distMu.Lock()
+	defer st.distMu.Unlock()
+	if plan.Seq <= st.distSeq {
+		return nil, nil
+	}
+	st.distSeq = plan.Seq
+	notify := make([]pushTarget, 0, len(plan.Assignments))
+	st.mu.Lock()
+	for userID := range plan.Assignments {
+		if taskID, ok := st.taskOf[userID]; ok {
+			notify = append(notify, pushTarget{userID: userID, taskID: taskID, token: st.tokenOf[userID]})
+		}
+	}
+	st.mu.Unlock()
+	for _, n := range notify {
+		row := store.ScheduleRow{TaskID: n.taskID, AppID: app.ID, UserID: n.userID}
+		for _, t := range plan.Assignments[n.userID].Times(st.timeline) {
+			row.AtUnix = append(row.AtUnix, t.Unix())
+		}
+		if old, err := s.db.Schedule(n.taskID); err != nil || !sameScheduleRow(old, row) {
+			if err := s.db.PutSchedule(row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return notify, nil
+}
+
+// sameScheduleRow reports whether two rows for one task hold the same
+// schedule.
+func sameScheduleRow(a, b store.ScheduleRow) bool {
+	return a.AppID == b.AppID && a.UserID == b.UserID && slices.Equal(a.AtUnix, b.AtUnix)
 }
 
 // scheduleFor assembles the wire.Schedule for one user from the stored
@@ -754,7 +791,9 @@ func (s *Server) handleLeave(ctx context.Context, msg *wire.Leave) (wire.Message
 		if err != nil {
 			return nil, err
 		}
+		t0 := time.Now()
 		plan, err := st.online.Leave(s.now(), msg.UserID)
+		s.met.replanMs.Observe(float64(time.Since(t0)) / float64(time.Millisecond))
 		if err == nil {
 			s.met.replans.Inc()
 			if err := s.distributePlan(app, st, plan); err != nil {

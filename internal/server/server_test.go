@@ -562,3 +562,48 @@ func TestFeatureMatrixSkipsIncompletePlaces(t *testing.T) {
 		t.Fatal("unknown category must error")
 	}
 }
+
+// TestReplanSkipsUnchangedScheduleRows: distributing a plan whose rows
+// equal the stored ones logs nothing to the WAL, yet still pushes every
+// phone in it.
+func TestReplanSkipsUnchangedScheduleRows(t *testing.T) {
+	push := transport.NewPush()
+	clock := &virtualClock{now: t0}
+	s, err := New(Config{
+		Storage: store.NewDurableBackend(t.TempDir()),
+		Now:     clock.Now, Catalog: DefaultCatalog(), Push: push,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.CreateApp(starbucksApp()); err != nil {
+		t.Fatal(err)
+	}
+	participate(t, s, "alice", "tok-a", 4)
+	participate(t, s, "bob", "tok-b", 4)
+	chA, err := push.Subscribe("tok-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := s.states.get("app-sb")
+	plan, err := st.online.Replan(clock.Now()) // nothing changed since bob joined
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.DB().AppliedLSN()
+	if err := s.distributePlan(starbucksApp(), st, plan); err != nil {
+		t.Fatal(err)
+	}
+	if after := s.DB().AppliedLSN(); after != before {
+		t.Fatalf("unchanged plan logged %d WAL records", after-before)
+	}
+	select {
+	case <-chA:
+	default:
+		t.Fatal("alice got no push for the unchanged plan")
+	}
+}

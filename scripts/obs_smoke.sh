@@ -27,7 +27,7 @@ REQUIRED+=',sor_sched_replans_total,sor_snapshot_rebuilds_total,sor_rank_cache_h
 REQUIRED+=',sor_snapshot_delta_rebuilds_total,sor_snapshot_rearms_total,sor_rank_warm_blocks_total'
 REQUIRED+=',sor_server_requests_total{type="ping"},sor_server_requests_total{type="data-upload"}'
 REQUIRED+=',sor_server_requests_total{type="data-upload-batch"},sor_server_requests_total{type="rank-request"}'
-REQUIRED+=',sor_server_handler_ms{type="data-upload"},sor_snapshot_rebuild_ms'
+REQUIRED+=',sor_server_handler_ms{type="data-upload"},sor_snapshot_rebuild_ms,sor_sched_replan_ms'
 REQUIRED+=',sor_processor_uploads_total,sor_processor_decode_errors_total'
 REQUIRED+=',sor_session_active,sor_session_opened_total,sor_session_closed_total'
 REQUIRED+=',sor_session_pushes_total,sor_session_wakes_total,sor_session_push_dropped_total'
